@@ -264,28 +264,42 @@ class _OverlapIndex:
     turns the overlap into ``rates[intersect1d(a, b)].sum()`` -- and
     because both formulations sum the *same* rates in the same ascending
     index order, the results are bit-identical to the mask path.
+
+    An entry remembers the mask object it was unpacked from and is used
+    only while the vertex still holds that object, so an index can
+    outlive in-place mask changes (a stripped coarse vertex gets a new
+    mask) without going stale.
     """
 
     def __init__(self, space: SubstreamSpace):
         self.space = space
-        self._idx: Dict[VertexId, np.ndarray] = {}
+        self._idx: Dict[VertexId, Tuple[int, np.ndarray]] = {}
         # reusable membership scratch over the substream universe: an
         # O(deg) gather per neighbour instead of a sort per overlap
         self._mark = np.zeros(len(space), dtype=bool)
 
     def indices(self, v: QVertex) -> np.ndarray:
         """Sorted substream indices of ``v``'s interest mask (cached)."""
-        arr = self._idx.get(v.vid)
-        if arr is None:
-            arr = self.space._indices(v.mask)
-            self._idx[v.vid] = arr
+        hit = self._idx.get(v.vid)
+        if hit is not None and hit[0] is v.mask:
+            return hit[1]
+        arr = self.space._indices(v.mask)
+        self._idx[v.vid] = (v.mask, arr)
         return arr
 
     def merged(self, merged: QVertex, u: QVertex, v: QVertex) -> None:
         """Record the index array of a freshly merged vertex."""
-        self._idx[merged.vid] = np.union1d(self.indices(u), self.indices(v))
+        self._idx[merged.vid] = (
+            merged.mask, np.union1d(self.indices(u), self.indices(v))
+        )
         self._idx.pop(u.vid, None)
         self._idx.pop(v.vid, None)
+
+    def prune(self, live) -> None:
+        """Forget vertices not in ``live`` once the cache holds more than
+        twice as many entries (amortised O(1) per call)."""
+        if len(self._idx) > 2 * len(live) + 64:
+            self._idx = {k: e for k, e in self._idx.items() if k in live}
 
     def overlap_rates(self, v: QVertex, others: List[QVertex]) -> List[float]:
         """Overlap rate of ``v`` against each of ``others`` (batched).

@@ -39,6 +39,7 @@ from ..query.interest import SubstreamSpace
 from ..query.workload import QuerySpec
 from ..topology.latency import LatencyOracle
 from .coarsening import (
+    _OverlapIndex,
     coarsen_cached,
     content_rng,
     merge_qvertices,
@@ -109,6 +110,7 @@ class Coordinator:
         incremental: bool = True,
         coarse_reuse: str = "replay",
         plan_store: Optional[Dict] = None,
+        removals: Optional[List[int]] = None,
     ):
         self.cluster = cluster
         self.name: VertexId = ("coord", cluster.cluster_id)
@@ -138,12 +140,14 @@ class Coordinator:
         self._plan_store: Dict = plan_store if plan_store is not None else {}
         #: query_id -> processor; shared by the whole tree (leaves write it)
         self.placement: Dict[int, int] = placement if placement is not None else {}
+        #: query removals so far, one counter shared by the tree
+        self._removals: List[int] = removals if removals is not None else [0]
 
         self.children: List[Coordinator] = [
             Coordinator(
                 child, oracle, space, capabilities, vmax, alpha, seed,
                 self.placement, max_overlap_neighbors,
-                incremental, coarse_reuse, self._plan_store,
+                incremental, coarse_reuse, self._plan_store, self._removals,
             )
             for child in cluster.children
         ]
@@ -157,7 +161,9 @@ class Coordinator:
         #: CPU seconds spent in this coordinator's own optimization work
         self.cpu_time: float = 0.0
         # lazy routing state for online insertion (per-child masks/loads)
+        # and the removal count it was built at
         self._child_masks = None
+        self._routing_at = 0
         self._loads: Dict[VertexId, float] = {}
         self._total_weight: float = 0.0
         # incremental-adaptation state: a cost workspace that outlives
@@ -170,6 +176,8 @@ class Coordinator:
         self._edges_stale = False
         self._graph_mutations = 0
         self._rates_gen = space.rates_generation
+        # neighbours' substream indices for stripped-edge refreshes
+        self._overlap = _OverlapIndex(space)
         # True when the whole subtree reproduced itself last round (every
         # level skipped) and no mutation has touched it since; adaptation
         # then does not even recurse into it.  Mode-shared state, like
@@ -463,45 +471,60 @@ class Coordinator:
         return self._child_by_vid(target).insert(v)
 
     def remove_query(self, query_id: int) -> bool:
-        """Remove one atomic query from this subtree's state (Section 3.6
-        in reverse: query departure).
+        """Remove one atomic query from the tree state (Section 3.6 in
+        reverse: query departure).  Call on the root coordinator.
 
-        The query may sit inside a coarse vertex at upper levels; coarse
+        A query lives in exactly one coordinator per level, along the
+        root-to-leaf chain that ``assignment`` names, so only that chain
+        is visited.  It is found before anything changes, then each
+        level, top down, drops or strips its owner vertex.  Coarse
         vertices are stripped of the departed member in place (weight,
         mask and rate maps re-aggregated from the remaining children) so
         later adaptation rounds and insert routing no longer account for
         it.  Vertex *objects* are shared between adjacent levels (a
         child's vertices are the parent vertices' ``children``), so one
-        strip cascades into every level holding the same coarse object;
-        the recursion still visits the whole subtree because each level
-        must drop vanished vertices from its own dictionaries.  Edge
-        weights touching a stripped vertex go stale until the next graph
-        rebuild, exactly like after a statistics refresh.  Returns False
-        when the query is unknown to this subtree.
+        strip cascades into every lower level holding the same coarse
+        object; such a level finds its owner already stripped and leaves
+        its own graph and dirtiness alone.  Returns False when the query
+        is unknown to the tree.
         """
-        found = self._remove_query_level(query_id)
-        if found and _obs.ACTIVE is not None:
+        chain = []
+        coord: Optional[Coordinator] = self
+        while coord is not None:
+            t0 = time.perf_counter()
+            owner = next(
+                (vid for vid, v in coord.vertices.items()
+                 if query_id in v.members),
+                None,
+            )
+            coord.cpu_time += time.perf_counter() - t0
+            if owner is None:
+                break
+            chain.append((coord, owner))
+            target = coord.assignment.get(owner)
+            coord = (
+                None if coord.is_leaf or target is None
+                else coord._child_by_vid(target)
+            )
+        if not chain:
+            return False
+        for coord, owner in chain:
+            coord._remove_from_level(query_id, owner)
+        # routing state cached anywhere in the tree is rebuilt lazily on
+        # the next insert through it (see _ensure_routing_state)
+        self._removals[0] += 1
+        if _obs.ACTIVE is not None:
             _obs.ACTIVE.inc("opt.removals")
-        if found:
-            # descendants sharing a stripped coarse object may have had
-            # their vertices cleaned without noticing (their own owner
-            # search misses), yet their cached per-child masks/loads
-            # still count the departed query -- invalidate routing state
-            # once over the whole subtree (lazily rebuilt on next insert)
-            for coord in self.all_coordinators():
-                coord._invalidate_routing_state()
-        return found
+            _obs.ACTIVE.inc("opt.remove_levels", len(chain))
+        return True
 
-    def _remove_query_level(self, query_id: int) -> bool:
+    def _remove_from_level(self, query_id: int, owner_vid: VertexId) -> None:
+        """Drop or strip this level's owner vertex of ``query_id``."""
         t0 = time.perf_counter()
-        found = False
-        owner_vid = next(
-            (vid for vid, v in self.vertices.items() if query_id in v.members),
-            None,
-        )
-        if owner_vid is not None:
-            found = True
-            v = self.vertices[owner_vid]
+        v = self.vertices[owner_vid]
+        # a miss when the strip one level up cascaded into this shared
+        # coarse object already
+        if query_id in v.members:
             if v.members == (query_id,):
                 # the query's last trace at this level: drop the vertex
                 # and any n-vertices its departure leaves isolated
@@ -525,15 +548,16 @@ class Coordinator:
             self._stats_dirty = True
             self._subtree_quiet = False
         self.cpu_time += time.perf_counter() - t0
-        for child in self.children:
-            if child._remove_query_level(query_id):
-                found = True
-        return found
 
     def _ensure_routing_state(self) -> None:
-        """(Re)build the per-child aggregate masks and loads if stale."""
-        if getattr(self, "_child_masks", None) is not None:
+        """(Re)build the per-child aggregate masks and loads if stale.
+
+        The state goes stale after distribute/adopt/adaptation at this
+        level and after any query removal anywhere in the tree.
+        """
+        if self._child_masks is not None and self._routing_at == self._removals[0]:
             return
+        self._routing_at = self._removals[0]
         self._child_masks = {t: 0 for t in self.ng.ids()}
         self._loads = {t: 0.0 for t in self.ng.ids()}
         self._total_weight = 0.0
@@ -891,9 +915,14 @@ class Coordinator:
         longer happens every round.  q-n edges are reset to the stripped
         vertex's re-aggregated rate maps (dropping n-vertices that become
         isolated) and q-q overlaps are re-estimated against the current
-        neighbours' masks.
+        neighbours' masks in one batched pass.
         """
         qg = self.qg
+        qnbrs = [qg.qverts[n] for n in qg.neighbors(v.vid) if n in qg.qverts]
+        self._overlap.prune(qg.qverts)
+        overlaps = dict(zip(
+            (o.vid for o in qnbrs), self._overlap.overlap_rates(v, qnbrs)
+        ))
         rates: Dict[VertexId, float] = {}
         for node, rate in v.source_rates.items():
             nvid = ("n", node)
@@ -908,12 +937,7 @@ class Coordinator:
                 if new == 0.0 and not qg.neighbors(nbr):
                     qg.remove_vertex(nbr)
             else:
-                other = qg.qverts.get(nbr)
-                if other is not None:
-                    qg.set_edge(
-                        v.vid, nbr,
-                        self.space.overlap_rate(v.mask, other.mask),
-                    )
+                qg.set_edge(v.vid, nbr, overlaps[nbr])
         for nvid, rate in rates.items():
             # rate-map nodes that had no edge yet (only ones whose
             # n-vertex this graph already tracks, as in rebuild_edges)
@@ -963,6 +987,9 @@ def _strip_member(v: QVertex, query_id: int) -> None:
     Recurses into the child holding the member, drops it, and re-aggregates
     weight / mask / rate maps / state from the surviving children (the same
     aggregation :func:`~repro.core.coarsening.merge_qvertices` builds).
+    ``members`` is the concatenation of the children's members in order
+    (``merge_qvertices`` builds ``u.members + v.members``), so dropping
+    the one entry keeps it equal to that concatenation.
     """
     keep: List[QVertex] = []
     for child in v.children:
@@ -972,7 +999,8 @@ def _strip_member(v: QVertex, query_id: int) -> None:
             _strip_member(child, query_id)
         keep.append(child)
     v.children = tuple(keep)
-    v.members = tuple(m for c in keep for m in c.members)
+    i = v.members.index(query_id)
+    v.members = v.members[:i] + v.members[i + 1:]
     v.weight = sum(c.weight for c in keep)
     v.state_size = sum(c.state_size for c in keep)
     mask = 0

@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Optional, Set
 
 import numpy as np
 
+from ..obs import registry as _obs
 from .diffusion import diffusion_solution
 from .fastcost import CostWorkspace
 from .graphs import (
@@ -133,29 +134,43 @@ def rebalance(
     ws.ensure_synced()
     ws.init_positions(assignment)
     tindex = ws.target_index
-    by_source: Dict[VertexId, List[VertexId]] = {}
-    for vid in qg.qverts:
-        by_source.setdefault(assignment[vid], []).append(vid)
 
-    # a vertex's attach-cost row depends only on its neighbours'
-    # positions, so a move invalidates O(degree) rows, not all of them;
-    # caching the rest is what keeps the flow-realisation loop from
-    # re-evaluating every candidate after every single move.  Rows for
-    # every vertex on the source side of a flow are primed in one
-    # vectorised batch.
-    prime = list(dict.fromkeys(
-        v for i, _ in flows for v in by_source.get(i, ())
-    ))
-    rows = ws.attach_costs_batch(prime)
-    row_cache: Dict[VertexId, np.ndarray] = {
-        v: rows[k] for k, v in enumerate(prime)
-    }
+    # per-slot state, indexed like the workspace's vertices: the target
+    # index each q-vertex sits on (-1 for n-vertices and dead slots), its
+    # weight and load density, and whether it is dirty this round
+    qverts = qg.qverts
+    vindex = ws.vindex
+    n_slots = len(ws.vids)
+    qslots = np.fromiter(
+        (vindex[v] for v in qverts), dtype=np.int64, count=len(qverts)
+    )
+    at = np.fromiter(
+        (tindex.get(assignment[v], -1) for v in qverts),
+        dtype=np.int64, count=len(qverts),
+    )
+    where = np.full(n_slots, -1, dtype=np.int64)
+    where[qslots] = at
+    weight = np.zeros(n_slots)
+    weight[qslots] = [qv.weight for qv in qverts.values()]
+    density = np.zeros(n_slots)
+    density[qslots] = [qv.load_density() for qv in qverts.values()]
+    absorbable = 0.9 * weight
+    weighted = weight > 0
+    dirty = np.zeros(n_slots, dtype=bool)
+    dirty[[vindex[v] for v in stats.dirty if v in qverts]] = True
 
-    def cost_row(v: VertexId) -> np.ndarray:
-        row = row_cache.get(v)
-        if row is None:
-            row = row_cache[v] = ws.attach_costs(v)
-        return row
+    # attach-cost rows by slot.  A row depends only on the neighbours'
+    # positions, so a move marks O(degree) rows stale; a stale row is
+    # recomputed only once its vertex is a candidate again.  Every vertex
+    # on the source side of a flow is primed in one vectorised batch.
+    prime = np.concatenate([qslots[:0]] + [
+        qslots[at == tindex[i]] for i in dict.fromkeys(i for i, _ in flows)
+    ])
+    rows = np.empty((n_slots, len(ws.targets)))
+    fresh = np.zeros(n_slots, dtype=bool)
+    rows[prime] = ws.attach_costs_batch([ws.vids[s] for s in prime])
+    fresh[prime] = True
+    recomputed = 0
 
     pairs = list(flows)
     rng.shuffle(pairs)
@@ -163,55 +178,52 @@ def rebalance(
     while pairs:
         i, j = pairs[rng.randrange(len(pairs))]
         m_ij = remaining[(i, j)]
-        candidates = [v for v in by_source.get(i, []) if assignment[v] == i]
+        ti_i, ti_j = tindex[i], tindex[j]
         # a vertex is movable for this flow if the flow can absorb ~all of
         # its weight (the paper: m_ij larger than 90% of its weight)
-        movable = [
-            v for v in candidates if m_ij > 0.9 * qg.qverts[v].weight
-            and qg.qverts[v].weight > 0
-        ]
-        if not movable:
+        movable = np.flatnonzero(
+            (where == ti_i) & weighted & (m_ij > absorbable)
+        )
+        if not movable.size:
             remaining[(i, j)] = 0.0
             pairs.remove((i, j))
             continue
-        ti_i, ti_j = tindex[i], tindex[j]
-        benefits = {}
-        for v in movable:
-            costs = cost_row(v)
-            benefits[v] = float(costs[ti_i] - costs[ti_j])
-        best_benefit = max(benefits.values())
+        for s in movable[~fresh[movable]]:
+            rows[s] = ws.attach_costs_idx(s)
+            fresh[s] = True
+            recomputed += 1
+        benefits = rows[movable, ti_i] - rows[movable, ti_j]
+        best_benefit = float(benefits.max())
         span = abs(best_benefit) if best_benefit != 0 else 1.0
-        window = [
-            v for v, b in benefits.items()
-            if b >= best_benefit - benefit_window * span
-        ]
-        dirty_window = [v for v in window if v in stats.dirty]
-        pool = dirty_window or window
-        chosen = max(
-            pool,
-            key=lambda v: (
-                qg.qverts[v].load_density(),
-                stable_vertex_key(qg.qverts[v]),
-            ),
+        window = movable[benefits >= best_benefit - benefit_window * span]
+        pool = window[dirty[window]]
+        if not pool.size:
+            pool = window
+        top = pool[density[pool] == density[pool].max()]
+        s = int(top[0]) if top.size == 1 else max(
+            (int(t) for t in top),
+            key=lambda t: stable_vertex_key(qverts[ws.vids[t]]),
         )
 
-        qv = qg.qverts[chosen]
+        chosen = ws.vids[s]
+        qv = qverts[chosen]
         assignment[chosen] = j
         ws.set_position(chosen, j)
-        row_cache.pop(chosen, None)
-        for nb in qg.adj.get(chosen, ()):
-            row_cache.pop(nb, None)
-        by_source[i].remove(chosen)
-        by_source.setdefault(j, []).append(chosen)
-        if chosen not in stats.dirty:
+        where[s] = ti_j
+        fresh[s] = False
+        fresh[ws.neighbour_indices(chosen)] = False
+        if not dirty[s]:
             stats.moved_state += qv.state_size
-        stats.dirty.add(chosen)
+            dirty[s] = True
+            stats.dirty.add(chosen)
         stats.moved_vertices += 1
         stats.moved_weight += qv.weight
         remaining[(i, j)] = m_ij - qv.weight
         if remaining[(i, j)] <= floor:
             stats.flows_satisfied += 1
             pairs.remove((i, j))
+    if recomputed and _obs.ACTIVE is not None:
+        _obs.ACTIVE.inc("opt.rebalance_rows_recomputed", recomputed)
     return stats
 
 

@@ -1,8 +1,13 @@
 """Tests for the coordinator tree and the Cosmos middleware end to end."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Cosmos, CosmosConfig, build_coordinator_tree
+from repro.core.graphs import stable_vertex_key
 from repro.experiments.config import bench_scale, build_testbed
 from repro.query.workload import WorkloadParams, generate_workload
 from repro.topology import (
@@ -401,3 +406,165 @@ class TestCosmosRemoval:
     def test_remove_unknown_returns_false(self, env):
         cosmos, _ = self._fresh(env, n=20)
         assert not cosmos.remove(999999)
+
+
+# ----------------------------------------------------------------------
+# removal path: chain invariant and frozen churn digest
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def churn_env():
+    """A small universe of its own: the shared ``env`` workload grows
+    with every ``new_queries`` call, so the churn tests draw from a fixed
+    query pool instead."""
+    topo = generate_transit_stub(
+        TransitStubParams(transit_domains=2, transit_nodes=3,
+                          stubs_per_transit_node=3, stub_nodes=4),
+        seed=3,
+    )
+    oracle = LatencyOracle(topo)
+    sources, processors = select_roles(topo, 5, 16, seed=4)
+    workload = generate_workload(
+        WorkloadParams(num_substreams=400, num_queries=140,
+                       substreams_per_query=(5, 15)),
+        sources, processors, seed=8,
+    )
+    return oracle, processors, workload
+
+
+def _levels(root):
+    """Coordinators grouped by depth below ``root``."""
+    out, level = [], [root]
+    while level:
+        out.append(level)
+        level = [c for coord in level for c in coord.children]
+    return out
+
+
+def _chain_violations(cosmos, live):
+    """Live queries not held by exactly one coordinator per level along
+    the chain ``assignment`` names, or removed queries still held."""
+    levels = _levels(cosmos.root)
+    holders = {}
+    for depth, level in enumerate(levels):
+        for coord in level:
+            for vid, v in coord.vertices.items():
+                for qid in v.members:
+                    holders.setdefault(qid, []).append((depth, coord, vid))
+    bad = []
+    for qid in live:
+        coord, depth = cosmos.root, 0
+        held = holders.get(qid, [])
+        while True:
+            here = [(c, vid) for d, c, vid in held if d == depth]
+            if len(here) != 1 or here[0][0] is not coord:
+                bad.append((qid, depth))
+                break
+            target = coord.assignment.get(here[0][1])
+            if coord.is_leaf:
+                if cosmos.placement.get(qid) != coord.ng.site(target):
+                    bad.append((qid, "placement"))
+                if any(d > depth for d, _, _ in held):
+                    bad.append((qid, "below leaf"))
+                break
+            coord = coord._child_by_vid(target)
+            depth += 1
+    bad.extend((qid, "removed") for qid in holders if qid not in live)
+    return bad
+
+
+class TestRemovalChain:
+    """Every live query sits in exactly one coordinator per level."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n0=st.integers(30, 90),
+        ops=st.lists(
+            st.tuples(st.sampled_from(["insert", "remove", "remove", "adapt"]),
+                      st.integers(0, 10_000)),
+            max_size=24,
+        ),
+    )
+    def test_chain_invariant_under_churn(self, churn_env, n0, ops):
+        oracle, processors, workload = churn_env
+        cosmos = Cosmos(oracle, processors, workload.space,
+                        CosmosConfig(k=2, vmax=10))
+        pool = list(workload.queries)
+        cosmos.distribute(pool[:n0])
+        live = {q.query_id: q for q in pool[:n0]}
+        spare = pool[n0:]
+        for kind, pick in ops:
+            if kind == "insert" and spare:
+                q = spare.pop(pick % len(spare))
+                cosmos.insert(q)
+                live[q.query_id] = q
+            elif kind == "remove" and live:
+                qid = sorted(live)[pick % len(live)]
+                assert cosmos.remove(qid)
+                spare.append(live.pop(qid))
+            elif kind == "adapt":
+                cosmos.adapt()
+            assert _chain_violations(cosmos, live) == []
+        assert set(cosmos.placement) == set(live)
+
+
+def _vkey(coord, vid):
+    v = coord.vertices.get(vid) or coord.qg.qverts.get(vid)
+    return stable_vertex_key(v) if v is not None else repr(vid)
+
+
+def _churn_digest(cosmos):
+    """Digest of every coordinator's vertices, assignment, query-graph
+    edges and ``_stats_dirty`` (coarse vertices named by their members,
+    children by site: both independent of process-global id counters)."""
+    parts = []
+    for coord in cosmos.root.all_coordinators():
+        verts = sorted(
+            (stable_vertex_key(v), repr(v.weight), v.mask,
+             repr(sorted(v.source_rates.items())),
+             repr(sorted(v.proxy_rates.items())), repr(v.state_size))
+            for v in coord.vertices.values()
+        )
+        assignment = sorted(
+            (_vkey(coord, vid), coord.ng.site(t))
+            for vid, t in coord.assignment.items()
+        )
+        edges = sorted(
+            tuple(sorted((_vkey(coord, a), _vkey(coord, b)))) + (repr(w),)
+            for a, b, w in coord.qg.edges()
+        )
+        parts.append(repr((verts, assignment, edges, coord._stats_dirty)))
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
+
+
+def _churn_script(churn_env):
+    oracle, processors, workload = churn_env
+    pool = list(workload.queries)
+    cosmos = Cosmos(oracle, processors, workload.space,
+                    CosmosConfig(k=2, vmax=10))
+    cosmos.distribute(pool[:100])
+    # removals inside coarse vertices, straight after distribute
+    for qid in (3, 17, 42, 64, 98):
+        cosmos.remove(qid)
+    for q in pool[100:115]:
+        cosmos.insert(q)
+    cosmos.adapt()
+    for qid in (0, 5, 101, 103, 55, 77):
+        cosmos.remove(qid)
+    for q in pool[115:130]:
+        cosmos.insert(q)
+    for qid in (110, 20, 21, 22):
+        cosmos.remove(qid)
+    cosmos.adapt()
+    for qid in (120, 121, 30, 31):
+        cosmos.remove(qid)
+    return cosmos
+
+
+#: recorded from the whole-subtree removal walk the chain walk replaced
+CHURN_DIGEST = "ad7495a98fb3ee08"
+
+
+def test_frozen_churn_digest(churn_env):
+    assert _churn_digest(_churn_script(churn_env)) == CHURN_DIGEST
