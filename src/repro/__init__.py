@@ -14,12 +14,13 @@ Subpackages
     Continuous-query engine (windows, joins) and synthetic sensors.
 ``repro.core``
     The COSMOS optimizer: graph mapping, coordinator hierarchy, online
-    insertion, adaptive redistribution, sharing deployment.
+    insertion, adaptive redistribution.
 ``repro.baselines`` / ``repro.placement``
     Evaluation baselines, including the two-phase operator-placement
     comparator.
 ``repro.sim`` / ``repro.experiments``
-    Metrics and one driver per paper figure/table.
+    Discrete-event cluster simulator (including the shared execution
+    plane), metrics, and one driver per paper figure/table.
 """
 
 __version__ = "0.1.0"

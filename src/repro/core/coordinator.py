@@ -120,7 +120,7 @@ class Coordinator:
         self.alpha = alpha
         self.capabilities = capabilities or {}
         # rng seeded from *tree-local* facts (level, median, first member)
-        # rather than the process-global cluster_id counter: two Cosmos
+        # rather than the cluster id, a construction-order number: two Cosmos
         # instances built in one process must behave identically, which is
         # what makes repeated simulator runs reproduce bit-identical traces
         stable_id = (

@@ -22,9 +22,6 @@ from ..topology.latency import LatencyOracle
 
 __all__ = ["Cluster", "CoordinatorTree", "build_coordinator_tree"]
 
-_cluster_ids = itertools.count()
-
-
 @dataclass
 class Cluster:
     """One cluster at one level of the tree."""
@@ -59,12 +56,23 @@ class CoordinatorTree:
     ``root`` is the top cluster; ``k`` the paper's cluster-size parameter
     (leaves hold between ``k`` and ``3k - 1`` processors); ``oracle``
     answers inter-node latencies; ``processors`` lists every member.
+
+    Cluster ids are numbered per tree (``next_cluster_id``): they name
+    coordinator vertices, which reach hash-ordered optimizer state, so
+    a process-wide counter made a run depend on how many trees the
+    process had built before it.
     """
 
     root: Cluster
     k: int
     oracle: LatencyOracle
     processors: List[int]
+    next_cluster_id: int = 0
+
+    def _new_cluster_id(self) -> int:
+        cid = self.next_cluster_id
+        self.next_cluster_id += 1
+        return cid
 
     def levels(self) -> List[List[Cluster]]:
         """Clusters grouped by level, bottom (level 1) first."""
@@ -180,7 +188,7 @@ class CoordinatorTree:
         cluster.members = part_a
         cluster.coordinator = self.oracle.median(part_a)
         sibling = Cluster(
-            cluster_id=next(_cluster_ids),
+            cluster_id=self._new_cluster_id(),
             level=cluster.level,
             coordinator=self.oracle.median(part_b),
             members=part_b,
@@ -189,7 +197,7 @@ class CoordinatorTree:
         if parent is None:
             # cluster is the root: grow the tree by one level
             new_root = Cluster(
-                cluster_id=next(_cluster_ids),
+                cluster_id=self._new_cluster_id(),
                 level=cluster.level + 1,
                 coordinator=0,
                 members=[],
@@ -250,12 +258,13 @@ def build_coordinator_tree(
     if not processors:
         raise ValueError("cannot build a tree without processors")
 
+    ids = itertools.count()
     level = 1
     current: List[Cluster] = []
     for group in _cluster_members(list(processors), k, oracle):
         current.append(
             Cluster(
-                cluster_id=next(_cluster_ids),
+                cluster_id=next(ids),
                 level=level,
                 coordinator=oracle.median(group),
                 members=group,
@@ -271,7 +280,7 @@ def build_coordinator_tree(
             children = [c for c in current if c.coordinator in group]
             nxt.append(
                 Cluster(
-                    cluster_id=next(_cluster_ids),
+                    cluster_id=next(ids),
                     level=level,
                     coordinator=oracle.median(group),
                     members=list(group),
@@ -284,4 +293,7 @@ def build_coordinator_tree(
     if root.children == [] and len(processors) > 0 and root.level == 1:
         # single-leaf tree: wrap in a root so the recursion below is uniform
         pass
-    return CoordinatorTree(root=root, k=k, oracle=oracle, processors=processors)
+    return CoordinatorTree(
+        root=root, k=k, oracle=oracle, processors=processors,
+        next_cluster_id=next(ids),
+    )

@@ -15,6 +15,13 @@ implements the three Siena protocols the paper relies on:
   downstream, and is delivered to every matching local subscriber
   (Figure 2(d)).
 
+:meth:`PubSubNetwork.route` is the same forwarding, memoised: it
+compiles the broker tables of one stream into a per-source routing
+program and caches each distinct per-row outcome until the next control
+change, so high-rate content-filtered streams skip the hop walk while
+delivering and charging exactly what :meth:`PubSubNetwork.publish`
+would.
+
 Every forwarded byte is accounted per link, so experiments can report the
 *measured* weighted communication cost (sum of per-link rate x latency)
 next to the optimizer's WEC estimate.
@@ -23,7 +30,10 @@ next to the optimizer's WEC estimate.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set,
+    Tuple,
+)
 
 from ..topology.overlay import OverlayTree
 from .broker import Broker
@@ -36,6 +46,57 @@ __all__ = ["PubSubNetwork"]
 
 def _edge(u: int, v: int) -> Tuple[int, int]:
     return (u, v) if u < v else (v, u)
+
+
+#: one local delivery of a routed row: ``(node, subscription, attrs)``,
+#: where ``attrs`` names the row attributes the subscriber receives
+#: (``None`` = all of them)
+Delivery = Tuple[int, Subscription, Optional[FrozenSet[str]]]
+
+
+class _Route:
+    """The compiled routing program of one (source, stream) pair.
+
+    ``hops`` maps every broker an event of the stream could reach from
+    the source to its LOCAL entries and its forwarding interfaces, each
+    entry reduced to a slot in ``matchers`` (one compiled filter per
+    distinct filter object) plus its projection.  ``outcomes`` caches
+    the walk per distinct match vector.
+    """
+
+    __slots__ = ("source", "matchers", "attrs", "hops", "projects", "outcomes")
+
+    def __init__(self, source: int):
+        self.source = source
+        self.matchers: List[Any] = []
+        #: constrained attributes per matcher slot
+        self.attrs: List[FrozenSet[str]] = []
+        self.hops: Dict[int, tuple] = {}
+        #: whether some forwarding entry projects (then the outcome also
+        #: depends on which attributes a row carries)
+        self.projects = False
+        self.outcomes: Dict[tuple, "_Outcome"] = {}
+
+
+class _Outcome:
+    """What routing one row does: its deliveries and its link charges."""
+
+    __slots__ = (
+        "deliveries", "nodes", "charges", "integral", "probes", "rows"
+    )
+
+    def __init__(self, deliveries, charges, probes):
+        self.deliveries: Tuple[Delivery, ...] = tuple(deliveries)
+        self.nodes = tuple(node for node, _sub, _attrs in deliveries)
+        #: ((normalised link, bytes), ...) in hop-walk order
+        self.charges: Tuple[Tuple[Tuple[int, int], float], ...] = tuple(
+            charges
+        )
+        self.integral = all(size.is_integer() for _e, size in charges)
+        #: brokers the walk visited (one table probe each in publish)
+        self.probes = probes
+        #: rows of the current :meth:`PubSubNetwork.route` call
+        self.rows = 0
 
 
 class PubSubNetwork:
@@ -71,10 +132,20 @@ class PubSubNetwork:
         self.down_links: Set[Tuple[int, int]] = set()
         #: (u, v) -> (edge list, latency ms) memo for :meth:`account_path`
         self._path_cache: Dict[Tuple[int, int], Tuple[list, float]] = {}
-        #: control-plane version: bumped by every subscribe / unsubscribe /
-        #: advertise / unadvertise, so callers can memoise routing-derived
-        #: state and invalidate it exactly when tables may have changed
+        #: normalised pair -> latency ms memo for :meth:`path_latency`
+        self._latency_ms: Dict[Tuple[int, int], float] = {}
+        #: control-plane version: bumped by every change to routing
+        #: state (subscribe / unsubscribe / advertise / unadvertise,
+        #: broker resets, link partitions), so routing-derived state can
+        #: be memoised and invalidated exactly when tables may have changed
         self.version = 0
+        #: stream -> {source: compiled :class:`_Route`}.  Routes read
+        #: subscription tables and down links only, so a control change
+        #: drops the routes of exactly the streams it can have touched
+        self._routes: Dict[str, Dict[int, _Route]] = {}
+        #: sub_id -> every stream it was subscribed for (whose routes its
+        #: unsubscribe drops)
+        self._sub_streams: Dict[int, FrozenSet[str]] = {}
         #: optional :class:`repro.obs.Observer`; when set, its metrics
         #: registry receives broker-level counters (probes, forwards,
         #: suppressions, repairs).  Reads only -- never affects routing.
@@ -129,6 +200,11 @@ class PubSubNetwork:
                 obs.registry.inc("broker.covering_repairs")
         broker = self._broker(node)
         self._subscriber_node[sub.sub_id] = node
+        # a re-declared sub_id replaces its older entries, whose streams
+        # may differ: drop the routes of both
+        streams = self._sub_streams.get(sub.sub_id, frozenset()) | sub.streams
+        self._sub_streams[sub.sub_id] = streams
+        self._drop_routes(streams)
         broker.table.add_subscription(sub, LOCAL)
         self._propagate(node, sub, from_iface=LOCAL, size=size, force=force)
 
@@ -160,6 +236,7 @@ class PubSubNetwork:
         """Remove a subscription everywhere (tree-wide)."""
         self.version += 1
         self._subscriber_node.pop(sub_id, None)
+        self._drop_routes(self._sub_streams.pop(sub_id, None))
         for broker in self.brokers.values():
             broker.table.remove_subscription(sub_id)
 
@@ -176,7 +253,10 @@ class PubSubNetwork:
         caller's ``subscribe(..., force=True)`` pass.
         """
         self.version += 1
-        self._advertiser.pop(adv_id, None)
+        entry = self._advertiser.pop(adv_id, None)
+        if entry is not None:
+            # a retired stream's routes go with it
+            self._drop_routes((entry[1].stream,))
         for broker in self.brokers.values():
             broker.table.remove_advertisement(adv_id)
 
@@ -216,6 +296,7 @@ class PubSubNetwork:
         stop in the meantime -- a restarted broker with empty tables.
         """
         self.version += 1
+        self._routes.clear()
         self._broker(node).table.clear()
 
     def reflood_advertisements(self, size: float = 1.0) -> None:
@@ -235,10 +316,14 @@ class PubSubNetwork:
         """Partition one overlay link: events stop crossing it."""
         if v not in self.tree.neighbors(u):
             raise ValueError(f"({u}, {v}) is not an overlay link")
+        self.version += 1
+        self._routes.clear()
         self.down_links.add(_edge(u, v))
 
     def set_link_up(self, u: int, v: int) -> None:
         """Heal a partitioned link."""
+        self.version += 1
+        self._routes.clear()
         self.down_links.discard(_edge(u, v))
 
     def path_is_up(self, u: int, v: int) -> bool:
@@ -294,6 +379,202 @@ class PubSubNetwork:
             reg.inc("broker.forwards", forwards)
             reg.inc("broker.local_deliveries", len(deliveries))
         return deliveries
+
+    def route(
+        self, source: int, stream: str, rows: Sequence[Mapping[str, Any]]
+    ) -> List[Tuple[Delivery, ...]]:
+        """Route unit-size events of ``stream`` from ``source``, one per row.
+
+        Each row is an attribute map.  Returns, per row, its local
+        deliveries ``(node, subscription, attrs)`` -- ``attrs`` names the
+        attributes the subscriber receives, ``None`` meaning all -- and
+        charges :attr:`link_bytes` exactly as calling :meth:`publish`
+        once per row would: the same deliveries in the same order, the
+        same bytes on the same links (projections shrink them, down
+        links and wiped brokers stop them).  The per-broker ``delivered``
+        log is :meth:`publish`'s alone.
+
+        The broker tables of ``stream`` are compiled into a routing
+        program per (source, stream), kept until a control change that
+        can touch it: a subscribe or unsubscribe of a subscription to
+        ``stream``, the retirement of its advertisement, a broker reset,
+        a link partition or heal (each of which also bumps
+        :attr:`version`).  A row costs one
+        compiled-filter test per distinct filter in the program, and the
+        hop walk runs once per distinct outcome, not once per row.
+        """
+        by_source = self._routes.get(stream)
+        if by_source is None:
+            by_source = self._routes[stream] = {}
+        route = by_source.get(source)
+        if route is None:
+            route = by_source[source] = self._compile(source, stream)
+        matchers = route.matchers
+        outcomes = route.outcomes
+        projects = route.projects
+        picked: List[_Outcome] = []
+        touched: List[_Outcome] = []
+        try:
+            for values in rows:
+                key = tuple([match(values) for match in matchers])
+                if projects:
+                    key += (frozenset(values),)
+                outcome = outcomes.get(key)
+                if outcome is None:
+                    outcome = outcomes[key] = self._walk(route, key)
+                if not outcome.rows:
+                    touched.append(outcome)
+                outcome.rows += 1
+                picked.append(outcome)
+            self._charge(picked, touched)
+        finally:
+            for outcome in touched:
+                outcome.rows = 0
+        return [outcome.deliveries for outcome in picked]
+
+    def _drop_routes(self, streams: Optional[Iterable[str]]) -> None:
+        """Forget the compiled routes of ``streams`` (None: of all)."""
+        if streams is None:
+            self._routes.clear()
+            return
+        for stream in streams:
+            self._routes.pop(stream, None)
+
+    def _compile(self, source: int, stream: str) -> _Route:
+        """Every broker an event of ``stream`` could reach from ``source``.
+
+        Reachability follows the tables: a broker forwards toward a
+        neighbour only through entries recorded for that interface, and
+        never back where the event came from or over a down link.
+        """
+        route = _Route(source)
+        slots: Dict[int, int] = {}
+
+        def slot(sub: Subscription) -> int:
+            filt = sub.filter
+            i = slots.get(id(filt))
+            if i is None:
+                i = slots[id(filt)] = len(route.matchers)
+                route.matchers.append(filt.compiled())
+                route.attrs.append(filt.attributes())
+            return i
+
+        queue = deque([(source, None)])
+        while queue:
+            node, came_from = queue.popleft()
+            local = []
+            out: Dict[int, list] = {}
+            for iface, sub in self._broker(node).table.iter_entries():
+                if iface == came_from or stream not in sub.streams:
+                    continue
+                if iface == LOCAL:
+                    local.append((slot(sub), sub))
+                    continue
+                out.setdefault(iface, []).append((slot(sub), sub.projection))
+                if sub.projection is not None:
+                    route.projects = True
+            nbrs = []
+            for nbr in sorted(out):
+                link = _edge(node, nbr)
+                if link in self.down_links:
+                    continue  # partitioned: the event is lost, no bytes
+                nbrs.append((nbr, link, tuple(out[nbr])))
+                queue.append((nbr, node))
+            route.hops[node] = (tuple(local), tuple(nbrs))
+        return route
+
+    def _walk(self, route: _Route, key: tuple) -> _Outcome:
+        """The hop walk of :meth:`publish` for one match vector.
+
+        ``key[i]`` says whether filter slot ``i`` matches the row as
+        published.  A projected copy matches an entry iff the row does
+        and the copy kept every attribute the filter constrains (a
+        missing attribute never matches), so the vector plus the row's
+        attribute names decide the whole walk.
+        """
+        req = route.attrs
+        deliveries: List[Delivery] = []
+        charges: List[Tuple[Tuple[int, int], float]] = []
+        probes = 0
+        # (node, attributes the event still carries -- None: all, size)
+        start = key[-1] if route.projects else None
+        queue = deque([(route.source, start, 1.0)])
+        while queue:
+            node, attrs, size = queue.popleft()
+            probes += 1
+            local, nbrs = route.hops[node]
+            for i, sub in local:
+                if key[i] and (attrs is None or req[i] <= attrs):
+                    proj = sub.projection
+                    if proj is not None and attrs is not None:
+                        proj = attrs & proj
+                    deliveries.append(
+                        (node, sub, attrs if proj is None else proj)
+                    )
+            for nbr, link, entries in nbrs:
+                hit = False
+                needed: Optional[Set[str]] = set()
+                for i, proj in entries:
+                    if key[i] and (attrs is None or req[i] <= attrs):
+                        hit = True
+                        if proj is None:
+                            needed = None
+                            break
+                        needed |= proj
+                if not hit:
+                    continue
+                fwd_attrs, fwd_size = attrs, size
+                if needed is not None:
+                    # Event.project: keep what is needed, shrink the size
+                    fwd_attrs = attrs & needed
+                    if attrs:
+                        fwd_size = size * max(1, len(fwd_attrs)) / len(attrs)
+                charges.append((link, fwd_size))
+                queue.append((nbr, fwd_attrs, fwd_size))
+        return _Outcome(deliveries, charges, probes)
+
+    def _charge(self, picked: List[_Outcome], touched: List[_Outcome]) -> None:
+        """Charge the routed rows' link bytes, bit for bit as per-row
+        publishing would add them.
+
+        ``touched`` holds each distinct outcome once, with ``rows`` its
+        row count in ``picked``.
+        """
+        book = self.link_bytes
+        totals: Optional[Dict[Tuple[int, int], float]] = {}
+        for outcome in touched:
+            if not outcome.integral:
+                totals = None
+                break
+            n = outcome.rows
+            for link, size in outcome.charges:
+                totals[link] = totals.get(link, 0.0) + size * n
+        if totals is not None and all(
+            book.get(link, 0.0).is_integer() for link in totals
+        ):
+            # integral bytes onto integral totals: one addition per link
+            # is exact, so it equals the per-row sum
+            for link, total in totals.items():
+                book[link] = book.get(link, 0.0) + total
+        else:
+            for outcome in picked:
+                for link, size in outcome.charges:
+                    book[link] = book.get(link, 0.0) + size
+        brokers = self.brokers
+        for outcome in touched:
+            for node in outcome.nodes:
+                brokers[node].delivered_total += outcome.rows
+        obs = self.observer
+        if obs is not None and obs.registry is not None:
+            reg = obs.registry
+            probes = forwards = delivered = 0
+            for o in touched:
+                probes += o.probes * o.rows
+                forwards += len(o.charges) * o.rows
+                delivered += len(o.nodes) * o.rows
+            reg.inc("broker.index_probes", probes)
+            reg.inc("broker.forwards", forwards)
+            reg.inc("broker.local_deliveries", delivered)
 
     def publish_batch(
         self, source: int, stream: str, rows: int
@@ -359,6 +640,23 @@ class PubSubNetwork:
         for a, b in cached[0]:
             self._account(self.link_bytes, a, b, size)
         return cached[1]
+
+    def path_latency(self, u: int, v: int) -> float:
+        """Overlay path latency (ms) between two nodes, memoised per pair.
+
+        The first lookup of a pair sums its link latencies in that
+        lookup's direction and serves both directions from then on.
+        This memo is kept apart from :meth:`account_path`'s: the two are
+        asked in different directions for some pairs, and float sums
+        taken in opposite orders can differ in the last bit.
+        """
+        if u == v:
+            return 0.0
+        key = _edge(u, v)
+        lat = self._latency_ms.get(key)
+        if lat is None:
+            lat = self._latency_ms[key] = self.tree.path_latency(u, v)
+        return lat
 
     def reset_traffic(self) -> None:
         self.link_bytes.clear()

@@ -213,6 +213,7 @@ class Filter:
         #: memoised emptiness -- ranges never change after construction,
         #: and ``matches`` (the per-event hot path) asks every time
         self._empty_cache: Optional[bool] = None
+        self._compiled = None
 
     @classmethod
     def of(cls, *triples: Tuple[str, str, Any]) -> "Filter":
@@ -240,6 +241,47 @@ class Filter:
             if not rng.matches(attributes.get(attr)):
                 return False
         return True
+
+    def compiled(self):
+        """A callable equivalent to :meth:`matches`, built once.
+
+        The memoised route of :class:`~repro.pubsub.network.PubSubNetwork`
+        evaluates every candidate filter once per routed row.  Filters
+        that are conjunctions of numeric interval bounds compile to a
+        flat tuple walk; anything else (memberships, exclusions, an
+        empty filter) is :meth:`matches` itself.
+        """
+        if self._compiled is not None:
+            return self._compiled
+        tests = []
+        simple = not self.is_empty()
+        for attr, rng in self._ranges.items():
+            if rng.membership is not None or rng.exclusions:
+                simple = False
+                break
+            tests.append(
+                (attr, rng.low, rng.low_inclusive, rng.high, rng.high_inclusive)
+            )
+        if not simple:
+            fn = self.matches
+        else:
+            def fn(values, _tests=tuple(tests), _fallback=self.matches):
+                try:
+                    for attr, low, low_inc, high, high_inc in _tests:
+                        v = values.get(attr)
+                        if v is None:
+                            return False
+                        if v < low or (v == low and not low_inc):
+                            return False
+                        if v > high or (v == high and not high_inc):
+                            return False
+                    return True
+                except TypeError:
+                    # non-numeric value against a numeric bound: the
+                    # generic evaluator defines the semantics
+                    return _fallback(values)
+        self._compiled = fn
+        return fn
 
     def covers(self, other: "Filter") -> bool:
         """TRUE iff every attribute assignment matching ``other`` matches self.

@@ -16,14 +16,7 @@ __all__ = [
 
 from .ast import AttrRef, Comparison, Literal, NOW, Query, SelectItem, StreamBinding, Window
 from .containment import contains, equivalent, selection_filter, selections_imply
-from .merging import (
-    SharedGroup,
-    SharedGroupEntry,
-    merge_all,
-    merge_queries,
-    mergeable,
-    split_subscription,
-)
+from .merging import merge_all, merge_queries, mergeable, split_subscription
 from .parser import ParseError, parse_query
 
 __all__ += [
@@ -31,5 +24,4 @@ __all__ += [
     "SelectItem", "Query", "parse_query", "ParseError",
     "contains", "equivalent", "selection_filter", "selections_imply",
     "merge_queries", "merge_all", "mergeable", "split_subscription",
-    "SharedGroup", "SharedGroupEntry",
 ]

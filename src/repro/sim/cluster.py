@@ -387,23 +387,7 @@ class SimCluster:
         #: group id -> member query ids with an installed ``p^2`` sub
         #: (join order; departed members linger until their carve drains)
         self._res_listeners: Dict[int, List[int]] = {}
-        #: memoised dissemination routes (shared plane): per-row content
-        #: matching against every candidate subscription with per-link
-        #: traffic charged on the union of paths to the accepting nodes
-        #: -- the exact deliveries and byte counts of the hop-by-hop
-        #: walk, minus the per-event tree traversal.  ``_route_fast``
-        #: stays on; the parity tests flip it to pin the equivalence.
-        #: Fault scenarios force the hop-by-hop reference: the memoised
-        #: route bypasses broker tables, so it cannot observe a wiped
-        #: broker (BrokerLoss) or a partitioned link.
-        self._route_fast = not params.faults
-        #: substream -> (network version, [(host, compiled matcher, gid)])
-        self._src_route: Dict[int, Tuple[int, List[Tuple[int, object, int]]]] = {}
-        self._edge_paths: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        #: sub_id -> compiled membership test (fast path of Filter.matches)
-        self._match_fns: Dict[int, object] = {}
         self._pindex = {p: i for i, p in enumerate(self.processors)}
-        self._path_ms: Dict[Tuple[int, int], float] = {}
         self._emit_gen: List[int] = [0] * len(space)
 
         self.duration = params.duration
@@ -435,21 +419,10 @@ class SimCluster:
     # ------------------------------------------------------------------
     # latency helpers
     # ------------------------------------------------------------------
-    def _path_latency_ms(self, u: int, v: int) -> float:
-        """Overlay path latency (ms) between two overlay nodes, cached."""
-        if u == v:
-            return 0.0
-        key = (u, v) if u < v else (v, u)
-        lat = self._path_ms.get(key)
-        if lat is None:
-            lat = self.network.tree.path_latency(u, v)
-            self._path_ms[key] = lat
-        return lat
-
     def _slack(self, simq: SimQuery, host: int) -> float:
         """Reordering slack (s): the query's worst input transit delay."""
         return max(
-            self._path_latency_ms(int(self.space.source_of[sid]), host)
+            self.network.path_latency(int(self.space.source_of[sid]), host)
             for sid in simq.substreams
         ) / 1000.0
 
@@ -649,7 +622,6 @@ class SimCluster:
         for sub in gs.p1_subs:
             self.network.unsubscribe(sub.sub_id)
             self._by_sub.pop(sub.sub_id, None)
-            self._match_fns.pop(sub.sub_id, None)
         gs.p1_subs = fresh
         for sub in gs.p1_subs:
             self.network.subscribe(gs.host, sub)
@@ -662,7 +634,6 @@ class SimCluster:
         if qs.result_sub is not None:
             self.network.unsubscribe(qs.result_sub.sub_id)
             self._by_result_sub.pop(qs.result_sub.sub_id, None)
-            self._match_fns.pop(qs.result_sub.sub_id, None)
         qs.result_sub = sub
         self._by_result_sub[sub.sub_id] = qs.simq.query_id
         listeners = self._res_listeners.setdefault(qs.group, [])
@@ -731,7 +702,6 @@ class SimCluster:
             for sub in gs.p1_subs:
                 self.network.unsubscribe(sub.sub_id)
                 self._by_sub.pop(sub.sub_id, None)
-                self._match_fns.pop(sub.sub_id, None)
             gs.p1_subs = []
             self._refresh_subscriptions(streams=set(gs.streams))
             self.loop.schedule(
@@ -763,7 +733,6 @@ class SimCluster:
         if qs.result_sub is not None:
             self.network.unsubscribe(qs.result_sub.sub_id)
             self._by_result_sub.pop(qs.result_sub.sub_id, None)
-            self._match_fns.pop(qs.result_sub.sub_id, None)
             qs.result_sub = None
         listeners = self._res_listeners.get(qs.group)
         if listeners and query_id in listeners:
@@ -954,7 +923,7 @@ class SimCluster:
                 mqs.simq.spec.proxy, mqs.result_sub, force=True
             )
         gs.slack = max(
-            self._path_latency_ms(int(self.space.source_of[sid]), new_host)
+            self.network.path_latency(int(self.space.source_of[sid]), new_host)
             for sid in gs.substreams
         ) / 1000.0
         state_tuples = float(plan.state_size())
@@ -1084,7 +1053,9 @@ class SimCluster:
                         span.hop(
                             "queued", self.loop.now, query=query_id,
                             host=qs.host, release=round(release, 9),
-                            overlay_hops=len(self._edges(source, qs.host)),
+                            overlay_hops=len(
+                                self.network.tree.path(source, qs.host)
+                            ) - 1,
                         )
                 self.loop.schedule(
                     release, partial(self._release_one, query_id)
@@ -1105,7 +1076,9 @@ class SimCluster:
                         span.hop(
                             "queued", self.loop.now, query=query_id,
                             host=qs.host, release=round(release, 9),
-                            overlay_hops=len(self._edges(source, qs.host)),
+                            overlay_hops=len(
+                                self.network.tree.path(source, qs.host)
+                            ) - 1,
                         )
             when = max(release_last, self.loop.now)
             if when > qs.drain_at:
@@ -1114,120 +1087,18 @@ class SimCluster:
         if profiler is not None:
             profiler.stop()
 
-    def _edges(self, u: int, v: int) -> List[Tuple[int, int]]:
-        """Overlay path ``u -> v`` as normalised edge keys, memoised."""
-        if u == v:
-            return []
-        key = (u, v)
-        edges = self._edge_paths.get(key)
-        if edges is None:
-            path = self.network.tree.path(u, v)
-            edges = [
-                (a, b) if a < b else (b, a) for a, b in zip(path, path[1:])
-            ]
-            self._edge_paths[key] = edges
-            self._edge_paths[(v, u)] = edges
-        return edges
-
-    def _charge_union(self, source: int, nodes: List[int], size: float) -> None:
-        """Charge ``size`` bytes on the union of paths ``source -> nodes``.
-
-        An event crosses an overlay link exactly when some matching
-        subscriber lies beyond it, i.e. on the union of the tree paths to
-        the accepting nodes -- the same links (each once) the hop-by-hop
-        forwarding walk would charge.
-        """
-        book = self.network.link_bytes
-        if len(nodes) == 1:
-            for edge in self._edges(source, nodes[0]):
-                book[edge] = book.get(edge, 0.0) + size
-            return
-        union = set()
-        for node in nodes:
-            union.update(self._edges(source, node))
-        for edge in union:
-            book[edge] = book.get(edge, 0.0) + size
-
-    def _matcher(self, sub: Subscription):
-        """A compiled equivalent of ``sub.filter.matches``, memoised.
-
-        The shared plane evaluates subscription filters once per result
-        per listener and once per source row per candidate group -- the
-        hottest per-event work left after routing is memoised.  Filters
-        here are conjunctions of numeric interval bounds, which compile
-        to a flat tuple walk; anything fancier (memberships, exclusions,
-        non-numeric values) falls back to the exact generic evaluator.
-        """
-        fn = self._match_fns.get(sub.sub_id)
-        if fn is not None:
-            return fn
-        filt = sub.filter
-        tests = []
-        simple = not filt.is_empty()
-        for attr, rng in filt.ranges().items():
-            if rng.membership is not None or rng.exclusions:
-                simple = False
-                break
-            tests.append(
-                (attr, rng.low, rng.low_inclusive, rng.high, rng.high_inclusive)
-            )
-        if not simple:
-            fn = filt.matches
-        else:
-            def fn(values, _tests=tuple(tests), _fallback=filt.matches):
-                try:
-                    for attr, low, low_inc, high, high_inc in _tests:
-                        v = values.get(attr)
-                        if v is None:
-                            return False
-                        if v < low or (v == low and not low_inc):
-                            return False
-                        if v > high or (v == high and not high_inc):
-                            return False
-                    return True
-                except TypeError:
-                    # non-numeric value against a numeric bound: the
-                    # generic evaluator defines the semantics
-                    return _fallback(values)
-        self._match_fns[sub.sub_id] = fn
-        return fn
-
-    def _src_candidates(self, sid: int) -> List[Tuple[int, Subscription, int]]:
-        """Groups whose ``p^1`` set requests substream ``sid``'s stream.
-
-        Memoised against the network's control-plane version: the
-        candidate set only changes when subscriptions change.
-        """
-        route = self._src_route.get(sid)
-        if route is not None and route[0] == self.network.version:
-            return route[1]
-        stream = stream_name(sid)
-        cands: List[Tuple[int, Subscription, int]] = []
-        for gid in sorted(self.groups):
-            gs = self.groups[gid]
-            if not gs.alive:
-                continue
-            for sub in gs.p1_subs:
-                if stream in sub.streams:
-                    cands.append((gs.host, self._matcher(sub), gid))
-        self._src_route[sid] = (self.network.version, cands)
-        return cands
-
     def _publish_rows_shared(self, sid: int, rows: List[Tuple[int, StreamTuple]]) -> None:
         """Publish one substream's rows on the shared plane.
 
         The groups' ``p^1`` subscriptions carry content filters (the
-        merged selection hulls), so every row is matched individually
-        against them -- early dropping *is* per-row content matching; an
-        attribute-free representative batch event would defeat it.  On
-        the (default) memoised route, each row is matched against the
-        cached candidate set and charged on the union of overlay paths to
-        its accepting hosts -- delivery-and-byte identical to routing the
-        row through :meth:`PubSubNetwork.publish`, which stays available
-        as the reference (``_route_fast=False``, pinned by the parity
-        tests).  The batch plane still wins engine-side: a coalesced
-        buffer's surviving rows reach each group through its sorted
-        pending list and drain as TupleBatch pushes.
+        merged selection hulls), so every row is routed individually --
+        early dropping *is* per-row content matching; an attribute-free
+        representative batch event would defeat it.
+        :meth:`PubSubNetwork.route` routes and charges each row exactly
+        as a per-row publish would, from memoised routing state.  The
+        batch plane still wins engine-side: a coalesced buffer's
+        surviving rows reach each group through its sorted pending list
+        and drain as TupleBatch pushes.
         """
         obs = self.obs
         profiler = obs.profiler if obs is not None else None
@@ -1244,40 +1115,20 @@ class SimCluster:
                     )
         per_unit: Dict[int, List[Tuple[int, StreamTuple]]] = {}
         order: List[int] = []
-        if self._route_fast:
-            cands = self._src_candidates(sid)
-            charges: Dict[Tuple[int, ...], int] = {}
-            for seq, tup in rows:
-                accepted: List[int] = []
-                for host, matches, gid in cands:
-                    if not matches(tup.values):
-                        continue
-                    bucket = per_unit.get(gid)
-                    if bucket is None:
-                        per_unit[gid] = bucket = []
-                        order.append(gid)
-                    bucket.append((seq, tup))
-                    accepted.append(host)
-                if accepted:
-                    key = tuple(accepted)
-                    charges[key] = charges.get(key, 0) + 1
-            # rows with one accepting set charge once with the row count:
-            # all sizes are integral, so the float totals are exactly the
-            # per-row sums the hop-by-hop walk accumulates
-            for key, count in charges.items():
-                self._charge_union(source, list(key), float(count))
-        else:
-            for seq, tup in rows:
-                event = Event(stream=tup.stream, attributes=tup.values, size=1.0)
-                for _node, _ev, sub in self.network.publish(source, event):
-                    gid = self._by_sub.get(sub.sub_id)
-                    if gid is None:
-                        continue
-                    bucket = per_unit.get(gid)
-                    if bucket is None:
-                        per_unit[gid] = bucket = []
-                        order.append(gid)
-                    bucket.append((seq, tup))
+        routed = self.network.route(
+            source, stream_name(sid), [tup.values for _seq, tup in rows]
+        )
+        by_sub = self._by_sub
+        for row, deliveries in zip(rows, routed):
+            for _node, sub, _attrs in deliveries:
+                gid = by_sub.get(sub.sub_id)
+                if gid is None:
+                    continue
+                bucket = per_unit.get(gid)
+                if bucket is None:
+                    per_unit[gid] = bucket = []
+                    order.append(gid)
+                bucket.append(row)
         if self._batching:
             self.batch_publishes += 1
         for gid in order:
@@ -1294,7 +1145,9 @@ class SimCluster:
                         span.hop(
                             "queued", self.loop.now, group=gid, host=gs.host,
                             release=round(release, 9),
-                            overlay_hops=len(self._edges(source, gs.host)),
+                            overlay_hops=len(
+                                self.network.tree.path(source, gs.host)
+                            ) - 1,
                         )
                 self.loop.schedule(release, partial(self._release_one, gid))
                 continue
@@ -1310,7 +1163,9 @@ class SimCluster:
                         span.hop(
                             "queued", self.loop.now, group=gid, host=gs.host,
                             release=round(release, 9),
-                            overlay_hops=len(self._edges(source, gs.host)),
+                            overlay_hops=len(
+                                self.network.tree.path(source, gs.host)
+                            ) - 1,
                         )
             when = max(release_last, self.loop.now)
             if when > gs.drain_at:
@@ -1510,13 +1365,13 @@ class SimCluster:
     ) -> None:
         """Publish a merged plan's results; members carve at their proxies.
 
-        Every result of the merged query is published on the group's
-        result stream through the real pub/sub network; each delivery is
-        one member's ``p^2`` subscription matching (residual selections,
+        Every result of the merged query is routed on the group's result
+        stream through the pub/sub network; each delivery is one
+        member's ``p^2`` subscription matching (residual selections,
         window bands, lifetime span), and is accounted against *that*
         member -- latency is the input's age at delivery plus the
-        host-to-proxy transit, traffic is charged per overlay link by the
-        publish itself.
+        host-to-proxy transit, traffic is charged per overlay link by
+        the route itself.
         """
         obs = self.obs
         span = None
@@ -1529,85 +1384,38 @@ class SimCluster:
                 )
         if not results:
             return
-        if self._route_fast:
-            host = gs.host
-            checks = []
-            carved: Optional[Dict[int, int]] = {} if span is not None else None
-            for query_id in self._res_listeners.get(gs.gid, ()):
-                qs = self.queries[query_id]
-                checks.append((
-                    qs,
-                    self._matcher(qs.result_sub),
-                    qs.result_sub.projection,
-                    qs.simq.spec.proxy,
-                    self._path_latency_ms(host, qs.simq.spec.proxy) / 1000.0,
-                ))
-            charges: Dict[Tuple[int, ...], int] = {}
-            base = at - tup.timestamp
-            for r in results:
-                values = r.values
-                accepted: List[int] = []
-                for qs, matches, projection, proxy, proxy_s in checks:
-                    if not matches(values):
-                        continue
-                    accepted.append(proxy)
-                    if carved is not None:
-                        qid = qs.simq.query_id
-                        carved[qid] = carved.get(qid, 0) + 1
-                    latency = base + proxy_s
-                    self._interval_results += 1
-                    qs.lat_sum += latency
-                    if latency > qs.lat_max:
-                        qs.lat_max = latency
-                    self.results_total += 1
-                    if self.record:
-                        delivered = (
-                            dict(values)
-                            if projection is None
-                            else {
-                                k: v for k, v in values.items()
-                                if k in projection
-                            }
-                        )
-                        qs.results.append(
-                            StreamTuple(gs.result_stream, delivered)
-                        )
-                if accepted:
-                    key = tuple(accepted)
-                    charges[key] = charges.get(key, 0) + 1
-            for key, count in charges.items():
-                self._charge_union(gs.host, list(key), float(count))
-            if span is not None:
-                for qid in sorted(carved):
-                    span.hop(
-                        "carve", at, group=gs.gid, member=qid,
-                        results=carved[qid],
-                    )
-            return
-        carved = {} if span is not None else None
-        for r in results:
-            event = Event(
-                stream=gs.result_stream, attributes=dict(r.values), size=1.0
-            )
-            for node, delivered, sub in self.network.publish(gs.host, event):
+        routed = self.network.route(
+            gs.host, gs.result_stream, [r.values for r in results]
+        )
+        carved: Optional[Dict[int, int]] = {} if span is not None else None
+        transit: Dict[int, float] = {}
+        base = at - tup.timestamp
+        for r, deliveries in zip(results, routed):
+            for node, sub, attrs in deliveries:
                 query_id = self._by_result_sub.get(sub.sub_id)
                 if query_id is None:
                     continue
                 if carved is not None:
                     carved[query_id] = carved.get(query_id, 0) + 1
                 qs = self.queries[query_id]
-                latency = (at - tup.timestamp) + (
-                    self._path_latency_ms(gs.host, node) / 1000.0
-                )
+                node_s = transit.get(node)
+                if node_s is None:
+                    node_s = transit[node] = (
+                        self.network.path_latency(gs.host, node) / 1000.0
+                    )
+                latency = base + node_s
                 self._interval_results += 1
                 qs.lat_sum += latency
                 if latency > qs.lat_max:
                     qs.lat_max = latency
                 self.results_total += 1
                 if self.record:
-                    qs.results.append(
-                        StreamTuple(delivered.stream, dict(delivered.attributes))
+                    values = r.values
+                    delivered = (
+                        dict(values) if attrs is None
+                        else {k: v for k, v in values.items() if k in attrs}
                     )
+                    qs.results.append(StreamTuple(gs.result_stream, delivered))
         if span is not None:
             for qid in sorted(carved):
                 span.hop(

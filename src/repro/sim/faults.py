@@ -464,7 +464,7 @@ class FaultInjector:
         gs.host = target
         gs.detached = False
         gs.slack = max(
-            c._path_latency_ms(int(c.space.source_of[sid]), target)
+            c.network.path_latency(int(c.space.source_of[sid]), target)
             for sid in gs.substreams
         ) / 1000.0
         gs.adv = Advertisement(stream=gs.result_stream)

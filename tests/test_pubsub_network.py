@@ -306,6 +306,13 @@ class TestBrokerRemoval:
         before = self.net.version
         self.net.remove_broker(0)
         assert self.net.version > before
+        # partitions and heals change routing too
+        before = self.net.version
+        self.net.set_link_down(1, 2)
+        assert self.net.version > before
+        before = self.net.version
+        self.net.set_link_up(1, 2)
+        assert self.net.version > before
 
 
 class TestBrokerLossAndRecovery:
@@ -351,6 +358,54 @@ class TestBrokerLossAndRecovery:
         assert table.subscriptions == fresh.subscriptions
         assert table.size() == 0
         assert table.match_event(Event("R", {"a": 1})).interfaces == set()
+
+
+def chain_overlay():
+    """Producer 0 -- mid broker 5 -- proxies 3, 4 and 6 (1 and 2 hang
+    off the producer).  The proxies share the 5 -> 0 segment, so one
+    proxy's subscription can cover the others' propagation there."""
+    tree = OverlayTree(nodes=[0, 1, 2, 3, 4, 5, 6])
+    for a, b in ((0, 1), (0, 2), (0, 5), (5, 3), (5, 4), (5, 6)):
+        tree.add_link(a, b, 1.0)
+    return tree
+
+
+class TestCoveringRepairChain:
+    """Identical result subscriptions from proxies 3, 4 and 6 meet at
+    broker 5: tearing down the one that crossed it starves the others
+    until they are re-propagated with ``force=True``."""
+
+    def receivers(self, net):
+        published = sorted(
+            n for n, _, _ in net.publish(0, Event("res", {"x": 12}))
+        )
+        (routed,) = net.route(0, "res", [{"x": 12}])
+        assert sorted(n for n, _, _ in routed) == published
+        return published
+
+    def test_unsubscribe_coverer_then_force_survivors(self):
+        net = PubSubNetwork(chain_overlay())
+        net.advertise(0, Advertisement(stream="res"))
+        filt = Filter.of(("x", ">=", 10))
+        subs = {
+            p: Subscription.to_streams(["res"], filter=filt) for p in (3, 4, 6)
+        }
+        for proxy, sub in subs.items():
+            net.subscribe(proxy, sub)
+        assert self.receivers(net) == [3, 4, 6]
+        # 4's and 6's subscriptions stopped at 5, covered by 3's
+        upstream = net._broker(0).table.subscriptions[5]
+        assert [s.sub_id for s in upstream] == [subs[3].sub_id]
+        net.unsubscribe(subs[3].sub_id)
+        assert self.receivers(net) == []
+        # a plain re-subscribe stops at 5 again: the survivors' entries
+        # there are unchanged, so nothing is forwarded toward 0
+        net.subscribe(4, subs[4])
+        net.subscribe(6, subs[6])
+        assert self.receivers(net) == []
+        net.subscribe(4, subs[4], force=True)
+        net.subscribe(6, subs[6], force=True)
+        assert self.receivers(net) == [4, 6]
 
 
 class TestLinkPartition:

@@ -400,3 +400,69 @@ class TestFig10SimLoads:
 
         with pytest.raises(ValueError):
             fig10.run(load_source="bogus")
+
+
+class TestProcessHistory:
+    """A run depends on its seed alone, not on what the process ran before.
+
+    Coordinator vertex ids ``("coord", cluster_id)`` reach hash-ordered
+    optimizer state, so cluster ids drawn from a process-wide counter
+    made a run's trace and placement depend on how many coordinator
+    trees the process had built earlier (here: a small tree built
+    before the first run shifted every id of that run by three).  The
+    check runs in a fresh interpreter so that the history is exactly the
+    one the script builds, whatever ran earlier in this process.
+    """
+
+    SCRIPT = """
+import json
+from repro.core import build_coordinator_tree
+from repro.sim import ChurnParams, ScenarioParams, SimWorkloadParams, run_scenario
+from repro.topology.latency import LatencyOracle
+from repro.topology.transit_stub import TransitStubParams, generate_transit_stub
+
+def run():
+    report = run_scenario(
+        seed=1,
+        topology=TransitStubParams(
+            transit_domains=3, transit_nodes=3,
+            stubs_per_transit_node=2, stub_nodes=5,
+        ),
+        num_sources=10,
+        num_processors=32,
+        workload=SimWorkloadParams(
+            num_substreams=160, num_queries=120, rate_range=(0.5, 1.0)
+        ),
+        scenario=ScenarioParams(
+            duration=12.0, sample_interval=4.0, adapt_interval=4.0,
+            initial_placement="skewed",
+            churn=ChurnParams(arrival_rate=1.0, mean_lifetime=8.0),
+        ),
+    )
+    return json.dumps(
+        [report.trace.to_dict(), sorted(report.placement.items())],
+        sort_keys=True,
+    )
+
+oracle = LatencyOracle(generate_transit_stub(TransitStubParams(), seed=1))
+build_coordinator_tree(list(range(5)), oracle, k=2)
+first = run()
+for size in (5, 9, 12):
+    build_coordinator_tree(list(range(size)), oracle, k=2)
+print(first == run())
+"""
+
+    def test_earlier_trees_do_not_change_a_run(self):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        assert out.stdout.strip() == "True"

@@ -6,18 +6,25 @@ action order -- under churn, hot spots, and adaptation migrations -- while
 far fewer merged plans execute; and with the flag off nothing changes.
 """
 
+import hashlib
 import json
 
 import pytest
 
 from repro.sim import (
+    BrokerLoss,
     ChurnParams,
     HotSpotShift,
+    LinkPartition,
+    ProcessorCrash,
+    ProcessorJoin,
+    ProcessorLeave,
     ScenarioParams,
     SimWorkloadParams,
     oracle_results,
     run_scenario,
 )
+from repro.sim.workload import stream_name
 import repro.sim.cluster as cluster_mod
 
 
@@ -103,26 +110,127 @@ class TestSharedPlaneParity:
         assert batch.link_bytes == scalar.link_bytes
         assert batch.cpu_costs == scalar.cpu_costs
 
-    def test_route_fast_matches_hop_by_hop_walk(self, monkeypatch):
-        """The memoised routes equal publishing through the broker walk."""
-        kwargs = dict(seed=7, workload=overlap_workload(), record=True)
-        fast = run_scenario(scenario=sharing_scenario(), **kwargs)
-        orig_init = cluster_mod.SimCluster.__init__
-
-        def reference_init(self, *args, **kw):
-            orig_init(self, *args, **kw)
-            self._route_fast = False
-
-        monkeypatch.setattr(cluster_mod.SimCluster, "__init__", reference_init)
-        reference = run_scenario(scenario=sharing_scenario(), **kwargs)
-        assert trace_json(fast) == trace_json(reference)
-        assert fast.results == reference.results
-        assert fast.link_bytes == reference.link_bytes
-
     def test_shared_runs_are_deterministic(self):
         a = run_scenario(seed=9, workload=overlap_workload(), scenario=sharing_scenario())
         b = run_scenario(seed=9, workload=overlap_workload(), scenario=sharing_scenario())
         assert trace_json(a) == trace_json(b)
+
+
+#: digests of (trace, per-query results, link_bytes, cpu_costs) of shared
+#: runs, recorded when fault scenarios still routed the shared plane hop
+#: by hop through ``PubSubNetwork.publish`` and fault-free ones through a
+#: simulator-private route memo.  Both now run ``PubSubNetwork.route``.
+FROZEN_SHARED_DIGESTS = {
+    "fault_free": "960f84a9dc09a157",
+    "crash": "d4d817e35986265c",
+    "crash_scalar": "d4d817e35986265c",
+    "broker_loss": "0cd7a898785ab140",
+    "partition": "8bd749879ced219a",
+    "join_leave": "809aae180c2bf018",
+}
+
+DIGEST_CASES = {
+    "fault_free": (7, dict(
+        hotspot=HotSpotShift(at=9.0, substreams=8, factor=3.0),
+        checkpoint_interval=None,
+    )),
+    "crash": (3, dict(faults=(ProcessorCrash(at=6.0),))),
+    "crash_scalar": (3, dict(
+        faults=(ProcessorCrash(at=6.0),), use_batches=False,
+    )),
+    # node 18 carries the most shared-plane traffic of this universe, and
+    # the late detection keeps it wiped while rows cross it
+    "broker_loss": (2, dict(
+        faults=(BrokerLoss(at=7.0, node=18, detect_delay=1.5),),
+    )),
+    "partition": (4, dict(faults=(LinkPartition(at=6.0, duration=3.0),))),
+    "join_leave": (6, dict(
+        faults=(ProcessorJoin(at=5.0), ProcessorLeave(at=11.0)),
+        spare_processors=1,
+    )),
+}
+
+
+def shared_digest(seed, **overrides) -> str:
+    scenario = dict(
+        duration=20.0, sample_interval=4.0, adapt_interval=8.0,
+        initial_placement="skewed",
+        churn=ChurnParams(arrival_rate=0.4, mean_lifetime=10.0),
+        use_sharing=True, recovery="checkpoint", checkpoint_interval=3.0,
+    )
+    scenario.update(overrides)
+    report = run_scenario(
+        seed=seed,
+        workload=SimWorkloadParams(
+            num_substreams=40, num_queries=32, pool_substreams=6,
+            window_range=(2, 4),
+        ),
+        scenario=ScenarioParams(**scenario),
+        record=True,
+    )
+    blob = json.dumps(
+        {
+            "trace": report.trace.to_dict(),
+            "results": {str(k): v for k, v in report.results.items()},
+            "link_bytes": sorted(
+                (list(k), v) for k, v in report.link_bytes.items()
+            ),
+            "cpu_costs": {str(k): v for k, v in report.cpu_costs.items()},
+        },
+        sort_keys=True,
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+class TestFrozenSharedDigests:
+    """Every fault kind runs the same shared-plane route as fault-free
+    runs, and every run reproduces its frozen digest bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(DIGEST_CASES))
+    def test_digest(self, case):
+        seed, overrides = DIGEST_CASES[case]
+        assert shared_digest(seed, **overrides) == FROZEN_SHARED_DIGESTS[case]
+
+
+class TestSubscriptionHygiene:
+    def test_tables_hold_only_live_p1_sets(self, monkeypatch):
+        """Churn re-merges and retirements leave no ``p^1`` entry of a
+        retired or replaced set in any broker table."""
+        clusters, installed = [], set()
+        start = cluster_mod.SimCluster.start
+
+        def recording_start(cluster):
+            clusters.append(cluster)
+            sources = {stream_name(sid) for sid in range(len(cluster.space))}
+            subscribe = cluster.network.subscribe
+
+            def recording_subscribe(node, sub, *args, **kwargs):
+                if sub.streams & sources:
+                    installed.add(sub.sub_id)
+                return subscribe(node, sub, *args, **kwargs)
+
+            cluster.network.subscribe = recording_subscribe
+            return start(cluster)
+
+        monkeypatch.setattr(cluster_mod.SimCluster, "start", recording_start)
+        run_scenario(
+            seed=7, workload=overlap_workload(), scenario=sharing_scenario()
+        )
+        (cluster,) = clusters
+        sources = {stream_name(sid) for sid in range(len(cluster.space))}
+        live = {
+            sub.sub_id for gs in cluster.groups.values() for sub in gs.p1_subs
+        }
+        assert any(not gs.alive for gs in cluster.groups.values())
+        assert installed - live, "no p^1 set was ever replaced or retired"
+        p1_entries = [
+            sub.sub_id
+            for broker in cluster.network.brokers.values()
+            for _iface, sub in broker.table.iter_entries()
+            if sub.streams & sources
+        ]
+        assert p1_entries, "no p^1 entry left to check"
+        assert set(p1_entries) <= live, "stale p^1 entry in a routing table"
 
 
 class TestUnsharedDefaultUnchanged:
